@@ -6,10 +6,11 @@
 //!   precision it loses;
 //! * the §6 proxy-read extension.
 //!
-//! Each project is parsed **once** and approximately interpreted **once**;
-//! all six analysis modes share that parse and hint set (they differ only
-//! in [`AnalysisOptions`]), so the study costs one pre-analysis per
-//! project instead of six.
+//! Each project is parsed **once**, approximately interpreted **once** and
+//! its baseline solved **once**; every mode extends a clone of that solved
+//! baseline with the shared hint set (the modes differ only in
+//! [`AnalysisOptions`]), so the study costs one pre-analysis and one
+//! constraint generation per project instead of six.
 //!
 //! Run with `cargo run --release -p aji-bench --bin ablations`.
 //! Accepts the shared corpus flags (`--threads N`, `AJI_THREADS`); see
@@ -17,7 +18,7 @@
 
 use aji_approx::{approximate_interpret_parsed, ApproxOptions};
 use aji_bench::{collect_reports, exit_code, run_corpus_map, CorpusCli};
-use aji_pta::{analyze_parsed, AnalysisOptions, CgMetrics};
+use aji_pta::{AnalysisOptions, CgMetrics, Pta};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -48,15 +49,19 @@ fn main() -> ExitCode {
         ("with-proxy-reads", AnalysisOptions::with_proxy_reads()),
     ];
 
-    // Per project: one parse, one approximate interpretation, six analyses.
+    // Per project: one parse, one approximate interpretation, one baseline
+    // solve, and one extension of it per mode (the baseline mode enables no
+    // rule).
     let results = run_corpus_map(projects, cli.threads, |p| {
         let parsed = aji_parser::parse_project(p).map_err(|e| format!("parse error: {e}"))?;
         let approx = approximate_interpret_parsed(p, &parsed, &ApproxOptions::default());
+        let mut baseline = Pta::new(p, &parsed);
+        baseline.solve();
         Ok::<_, String>(
             modes
                 .iter()
                 .map(|(_, opts)| {
-                    CgMetrics::of(&analyze_parsed(p, &parsed, Some(&approx.hints), opts).call_graph)
+                    CgMetrics::of(&baseline.clone().extend(&approx.hints, opts).call_graph)
                 })
                 .collect::<Vec<_>>(),
         )

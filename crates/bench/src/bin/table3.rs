@@ -1,6 +1,13 @@
 //! Table 3: running times of the baseline static analysis, approximate
 //! interpretation, and the extended static analysis, per benchmark.
 //!
+//! The pipeline solves the baseline once and extends that solved state
+//! with the hints, so its `extended_seconds` covers only the extension.
+//! The paper's "extended" column is a standalone extended analysis; here
+//! it is `baseline_seconds + extended_seconds` — constraint generation,
+//! the baseline fixpoint and the extension — and the time ratio is taken
+//! over that sum.
+//!
 //! Run with `cargo run --release -p aji-bench --bin table3`.
 //! Accepts the shared corpus flags (`--threads N`, `AJI_THREADS`,
 //! `--json` for the deterministic corpus report, `--daemon SOCKET` to
@@ -39,13 +46,14 @@ fn main() -> ExitCode {
     let mut ta = Vec::new();
     let mut tx = Vec::new();
     for report in &reports {
+        let extended = report.baseline_seconds + report.extended_seconds;
         println!(
             "{:<22} {:>12.4} {:>12.4} {:>12.4}",
-            report.name, report.baseline_seconds, report.approx_seconds, report.extended_seconds
+            report.name, report.baseline_seconds, report.approx_seconds, extended
         );
         tb.push(report.baseline_seconds);
         ta.push(report.approx_seconds);
-        tx.push(report.extended_seconds);
+        tx.push(extended);
     }
     println!();
     println!("== Summary ==");

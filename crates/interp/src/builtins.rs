@@ -515,6 +515,15 @@ fn this_elems(i: &mut Interp, this: &Value) -> Result<Vec<Value>, JsError> {
     }
 }
 
+/// The element vector of an array `this`, for in-place mutation; `None`
+/// for any other receiver.
+fn array_elems_mut<'a>(i: &'a mut Interp, this: &Value) -> Option<&'a mut Vec<Value>> {
+    match &mut i.heap.get_mut(this.as_obj()?).kind {
+        ObjKind::Array(elems) => Some(elems),
+        _ => None,
+    }
+}
+
 fn store_elems(i: &mut Interp, this: &Value, elems: Vec<Value>) {
     if let Some(id) = this.as_obj() {
         if let ObjKind::Array(e) = &mut i.heap.get_mut(id).kind {
@@ -1047,6 +1056,10 @@ fn array_of(i: &mut Interp, _s: ObjId, _t: Value, args: &[Value]) -> R {
 }
 
 fn array_push(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
+    if let Some(elems) = array_elems_mut(i, &this) {
+        elems.extend(args.iter().cloned());
+        return Ok(Value::Num(elems.len() as f64));
+    }
     let mut elems = this_elems(i, &this)?;
     elems.extend(args.iter().cloned());
     let n = elems.len();
@@ -1055,6 +1068,9 @@ fn array_push(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
 }
 
 fn array_pop(i: &mut Interp, _s: ObjId, this: Value, _a: &[Value]) -> R {
+    if let Some(elems) = array_elems_mut(i, &this) {
+        return Ok(elems.pop().unwrap_or(Value::Undefined));
+    }
     let mut elems = this_elems(i, &this)?;
     let v = elems.pop().unwrap_or(Value::Undefined);
     store_elems(i, &this, elems);
@@ -1062,6 +1078,13 @@ fn array_pop(i: &mut Interp, _s: ObjId, this: Value, _a: &[Value]) -> R {
 }
 
 fn array_shift(i: &mut Interp, _s: ObjId, this: Value, _a: &[Value]) -> R {
+    if let Some(elems) = array_elems_mut(i, &this) {
+        return Ok(if elems.is_empty() {
+            Value::Undefined
+        } else {
+            elems.remove(0)
+        });
+    }
     let mut elems = this_elems(i, &this)?;
     let v = if elems.is_empty() {
         Value::Undefined

@@ -153,6 +153,35 @@ fn array_shift_unshift() {
     );
 }
 
+/// `push`/`pop`/`shift` mutate the element vector in place: a loop of
+/// pushes is linear, not quadratic.
+#[test]
+fn array_push_loop_is_linear() {
+    let start = std::time::Instant::now();
+    assert_eq!(
+        run("var a = [];\n\
+             for (var i = 0; i < 30000; i++) { a.push(1); }\n\
+             var last = a.pop(); var first = a.shift();\n\
+             exports.result = a.length + ':' + last + ':' + first;"),
+        "29998:1:1"
+    );
+    let elapsed = start.elapsed();
+    assert!(elapsed.as_secs_f64() < 2.0, "30,000 pushes took {elapsed:?}");
+}
+
+/// Array-likes take the generic path: their elements are materialized
+/// into a copy, and the copy is not written back.
+#[test]
+fn array_mutators_on_array_likes_keep_the_generic_path() {
+    assert_eq!(
+        run("var o = { length: 2, 0: 'x', 1: 'y' };\n\
+             var n = Array.prototype.push.call(o, 'z');\n\
+             var p = Array.prototype.pop.call(o);\n\
+             exports.result = n + ':' + p;"),
+        "3:y"
+    );
+}
+
 #[test]
 fn array_reverse_and_fill() {
     assert_eq!(run("exports.result = [1,2,3].reverse().join('');"), "321");

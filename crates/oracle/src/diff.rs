@@ -25,7 +25,7 @@ use aji_approx::{approximate_interpret_parsed, ApproxOptions, ApproxStats};
 use aji_ast::{Loc, Project};
 use aji_bench::{run_corpus_map, ProjectResult};
 use aji_interp::InterpOptions;
-use aji_pta::{analyze_parsed, AnalysisOptions, Accuracy};
+use aji_pta::{Accuracy, AnalysisOptions, Pta};
 use aji_support::{Json, ToJson};
 use std::collections::BTreeSet;
 
@@ -276,9 +276,11 @@ pub fn run_oracle_parsed(
 ) -> Result<ProjectOracle, PipelineError> {
     let _span = aji_obs::span("oracle");
 
-    let baseline = {
+    let (mut pta, baseline) = {
         let _s = aji_obs::span("baseline");
-        analyze_parsed(project, parsed, None, &AnalysisOptions::baseline())
+        let mut pta = Pta::new(project, parsed);
+        let baseline = pta.solve();
+        (pta, baseline)
     };
     let approx = {
         let _s = aji_obs::span("approx");
@@ -286,8 +288,9 @@ pub fn run_oracle_parsed(
     };
     let extended = {
         let _s = aji_obs::span("extended");
-        analyze_parsed(project, parsed, Some(&approx.hints), &opts.analysis)
+        pta.extend(&approx.hints, &opts.analysis)
     };
+    drop(pta);
     let dynamic = {
         let _s = aji_obs::span("dynamic");
         dynamic_call_graph_parsed(project, parsed, &opts.dynamic_interp).ok_or_else(|| {

@@ -1,14 +1,14 @@
-//! Top-level analysis driver: parse → resolve scopes → generate
-//! constraints → apply hints (\[DPR\]/\[DPW\]/module hints) → solve → extract
-//! the call graph.
+//! Top-level analysis driver: resolve scopes → generate constraints →
+//! solve the baseline → apply hints (\[DPR\]/\[DPW\]/module hints) to the
+//! solved state → solve the delta → extract each call graph.
 
 use crate::callgraph::{extract, CallGraph};
 use crate::gen::{generate, GenOutput};
 use crate::scopes;
-use crate::solver::{CellKind, SolverStats, TokenData};
+use crate::solver::{CellKind, Constraint, SolverStats, Token, TokenData};
 use aji_approx::Hints;
 use aji_ast::{Loc, Project};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which hint rules the analysis applies. The baseline disables all of
 /// them; Table 2's `*`-marked row corresponds to write hints only.
@@ -117,11 +117,248 @@ pub struct Analysis {
     pub call_graph: CallGraph,
     /// Solver statistics.
     pub solver_stats: SolverStats,
-    /// Wall-clock analysis time in seconds (excluding parsing).
+    /// Wall-clock analysis time in seconds (excluding parsing). For a
+    /// [`Pta::extend`] after [`Pta::solve`], the extension alone.
     pub analysis_seconds: f64,
     /// Number of hints that were actually applied (matched a known site
     /// or token).
     pub hints_applied: usize,
+}
+
+/// The points-to analysis of one project: constraints generated once,
+/// the baseline solved once, and hint rules added on top.
+///
+/// \[DPR\], \[DPW\], the §4 non-relational writes and the §6 proxy reads
+/// only add facts — tokens to cells, or constraints that replay the
+/// tokens already present — so the extended fixpoint is a superset of
+/// the baseline's, and [`Pta::extend`] reaches it by solving only the
+/// delta. Module hints are the exception, which the solver handles
+/// itself (see [`crate::solver::Solver::add_module_hints`]). The
+/// result, [`SolverStats`] included, is the same whether the hints
+/// arrive before the first solve or after it.
+///
+/// Clone a solved `Pta` to extend one baseline under several hint
+/// configurations.
+///
+/// # Example
+///
+/// ```
+/// use aji_approx::{approximate_interpret_parsed, ApproxOptions};
+/// use aji_ast::Project;
+/// use aji_pta::{AnalysisOptions, Pta};
+///
+/// let mut project = Project::new("demo");
+/// project.add_file(
+///     "index.js",
+///     "var api = {};\n\
+///      ['run'].forEach(function(m) { api[m] = function() { return 1; }; });\n\
+///      api.run();",
+/// );
+/// let parsed = aji_parser::parse_project(&project).unwrap();
+/// let mut pta = Pta::new(&project, &parsed);
+/// let baseline = pta.solve();
+/// let hints = approximate_interpret_parsed(&project, &parsed, &ApproxOptions::default()).hints;
+/// let extended = pta.extend(&hints, &AnalysisOptions::extended());
+/// assert!(baseline.call_graph.edges.is_subset(&extended.call_graph.edges));
+/// assert!(extended.call_graph.edge_count() > baseline.call_graph.edge_count());
+/// ```
+#[derive(Clone)]
+pub struct Pta<'p> {
+    project: &'p Project,
+    gen: GenOutput,
+    /// Time spent since the last returned [`Analysis`], charged to the
+    /// next one.
+    unbilled: Duration,
+}
+
+impl<'p> Pta<'p> {
+    /// Resolves scopes and generates the baseline constraints. `parsed`
+    /// must be the parse of `project` (the project supplies the file
+    /// paths and the main package; the ASTs come from `parsed`).
+    pub fn new(project: &'p Project, parsed: &aji_parser::ParsedProject) -> Self {
+        let start = Instant::now();
+        let res = {
+            let _s = aji_obs::span("resolve-scopes");
+            scopes::resolve(&parsed.modules)
+        };
+        let paths: Vec<String> = project.files.iter().map(|f| f.path.clone()).collect();
+        let gen = {
+            let _s = aji_obs::span("generate");
+            generate(&parsed.modules, &parsed.source_map, &res, paths)
+        };
+        Pta {
+            project,
+            gen,
+            unbilled: start.elapsed(),
+        }
+    }
+
+    /// Solves the constraints added so far and extracts the call graph —
+    /// after [`Pta::new`], the baseline analysis of Figure 3's first five
+    /// rules.
+    pub fn solve(&mut self) -> Analysis {
+        self.finish(0)
+    }
+
+    /// Applies the hint rules `opts` enables to the current state, solves
+    /// the delta and extracts the call graph. After [`Pta::solve`] this is
+    /// the extended analysis; `analysis_seconds` and `hints_applied` then
+    /// cover this extension only.
+    pub fn extend(&mut self, hints: &Hints, opts: &AnalysisOptions) -> Analysis {
+        let start = Instant::now();
+        let hints_applied = {
+            let _s = aji_obs::span("apply-hints");
+            self.apply_hints(hints, opts)
+        };
+        self.unbilled += start.elapsed();
+        self.finish(hints_applied)
+    }
+
+    fn finish(&mut self, hints_applied: usize) -> Analysis {
+        let start = Instant::now();
+        let solver = &mut self.gen.solver;
+        {
+            let _s = aji_obs::span("solve");
+            solver.solve();
+        }
+        let call_graph = {
+            let _s = aji_obs::span("extract-cg");
+            extract(solver, self.project)
+        };
+        let analysis_seconds = (std::mem::take(&mut self.unbilled) + start.elapsed()).as_secs_f64();
+        aji_obs::counter_add("pta.cells", solver.stats.cells as u64);
+        aji_obs::counter_add("pta.tokens", solver.stats.tokens as u64);
+        aji_obs::counter_add("pta.call_edges", call_graph.edge_count() as u64);
+        aji_obs::counter_add("pta.hints_applied", hints_applied as u64);
+        Analysis {
+            call_graph,
+            solver_stats: solver.stats.clone(),
+            analysis_seconds,
+            hints_applied,
+        }
+    }
+
+    /// The token a hint location denotes: function tokens first, then
+    /// known (or freshly minted) object allocation-site tokens. Line-0
+    /// sentinel locations denote module `exports` / `module` objects (see
+    /// the interpreter's module loader).
+    fn token_at(&mut self, loc: Loc) -> Token {
+        let GenOutput {
+            solver,
+            funcs_by_loc,
+            objs_by_loc,
+            ..
+        } = &mut self.gen;
+        if loc.line == 0 {
+            return if loc.col == 0 {
+                solver.token(TokenData::Exports(loc.file))
+            } else {
+                solver.token(TokenData::ModuleObj(loc.file))
+            };
+        }
+        if let Some(owner) = loc.prototype_owner() {
+            if let Some(f) = funcs_by_loc.get(&owner) {
+                return solver.token(TokenData::Proto(*f));
+            }
+            return solver.token(TokenData::Obj(loc));
+        }
+        if let Some(f) = funcs_by_loc.get(&loc) {
+            solver.token(TokenData::Func(*f))
+        } else if let Some(t) = objs_by_loc.get(&loc) {
+            *t
+        } else {
+            solver.token(TokenData::Obj(loc))
+        }
+    }
+
+    /// Adds the facts of every hint rule `opts` enables; returns how many
+    /// hints matched a known site or token.
+    fn apply_hints(&mut self, h: &Hints, opts: &AnalysisOptions) -> usize {
+        // Flight-recorder sink, fetched once: one `HintApply` event per rule
+        // application, named by the rule and detailed by the property (or
+        // location/path) it injected. Hint maps iterate in `BTreeMap` order,
+        // so the event stream is deterministic.
+        let rec = aji_obs::trace_recorder();
+        let record = |rule: &str, detail: &str| {
+            if let Some(rec) = &rec {
+                rec.record(aji_obs::TraceKind::HintApply, rule, detail);
+            }
+        };
+        let mut hints_applied = 0;
+        if opts.use_write_hints && !rule_ablated("dpw") {
+            // [DPW]: t_{ℓ''} ∈ ⟦t_ℓ.p⟧
+            for w in &h.writes {
+                let t_obj = self.token_at(w.obj);
+                let t_val = self.token_at(w.value);
+                let solver = &mut self.gen.solver;
+                let prop = solver.interner.intern(&w.prop);
+                let field = solver.cell(CellKind::Field(t_obj, prop));
+                solver.add_token(field, t_val);
+                hints_applied += 1;
+                record("dpw", &w.prop);
+            }
+        }
+        if opts.use_read_hints {
+            // [DPR]: t_{ℓ'} ∈ ⟦E[E']⟧
+            for (op, locs) in &h.reads {
+                let Some(&(_, cell)) = self.gen.dyn_reads.get(op) else {
+                    continue;
+                };
+                for l in locs {
+                    let t = self.token_at(*l);
+                    self.gen.solver.add_token(cell, t);
+                    hints_applied += 1;
+                    if rec.is_some() {
+                        record("dpr", &l.to_string());
+                    }
+                }
+            }
+        }
+        let solver = &mut self.gen.solver;
+        if opts.nonrelational_writes {
+            // §4's discussed alternative: every observed name at a write
+            // site becomes a static write of the site's value expression
+            // into that property of *all* base objects.
+            for (site, props) in &h.write_props {
+                let Some(&(base, src)) = self.gen.dyn_writes.get(site) else {
+                    continue;
+                };
+                for p in props {
+                    let prop = solver.interner.intern(p);
+                    solver.add_constraint(base, Constraint::Store { prop, src });
+                    hints_applied += 1;
+                    record("nonrel-write", p);
+                }
+            }
+        }
+        if opts.use_proxy_read_hints {
+            // §6 extension: only where no ordinary read hints exist.
+            for (site, props) in &h.proxy_reads {
+                if h.reads.contains_key(site) {
+                    continue;
+                }
+                let Some(&(base, dst)) = self.gen.dyn_reads.get(site) else {
+                    continue;
+                };
+                for p in props {
+                    let prop = solver.interner.intern(p);
+                    solver.add_constraint(base, Constraint::Load { prop, dst });
+                    hints_applied += 1;
+                    record("proxy-read", p);
+                }
+            }
+        }
+        if opts.use_module_hints {
+            for (site, paths) in &h.modules {
+                hints_applied += paths.len();
+                for p in paths {
+                    record("module", p);
+                }
+                solver.add_module_hints(*site, paths.iter().cloned());
+            }
+        }
+        hints_applied
+    }
 }
 
 /// Runs the static call graph and points-to analysis on a project.
@@ -131,8 +368,9 @@ pub struct Analysis {
 /// additionally applies \[DPR\] and \[DPW\].
 ///
 /// Parses the project first; callers that already hold a
-/// [`aji_parser::ParsedProject`] — e.g. to run several hint
-/// configurations over one parse — should use [`analyze_parsed`].
+/// [`aji_parser::ParsedProject`] should use [`analyze_parsed`], and
+/// callers that want both the baseline and the extended analysis should
+/// use [`Pta`], which shares one generation and one baseline solve.
 ///
 /// # Errors
 ///
@@ -146,7 +384,8 @@ pub fn analyze(
     Ok(analyze_parsed(project, &parsed, hints, opts))
 }
 
-/// [`analyze`] over an already-parsed project.
+/// [`analyze`] over an already-parsed project: one [`Pta`] with the
+/// hints applied before its only solve.
 ///
 /// Infallible: parse errors are the only failure mode of the analysis,
 /// and the caller has already parsed. `parsed` must be the parse of
@@ -158,164 +397,9 @@ pub fn analyze_parsed(
     hints: Option<&Hints>,
     opts: &AnalysisOptions,
 ) -> Analysis {
-    let start = Instant::now();
-    let res = {
-        let _s = aji_obs::span("resolve-scopes");
-        scopes::resolve(&parsed.modules)
-    };
-    let paths: Vec<String> = project.files.iter().map(|f| f.path.clone()).collect();
-    let gen_span = aji_obs::span("generate");
-    let GenOutput {
-        mut solver,
-        dyn_reads,
-        dyn_writes,
-        funcs_by_loc,
-        objs_by_loc,
-    } = generate(&parsed.modules, &parsed.source_map, &res, paths);
-    drop(gen_span);
-
-    // Apply hints.
-    let hint_span = aji_obs::span("apply-hints");
-    // Flight-recorder sink, fetched once: one `HintApply` event per rule
-    // application, named by the rule and detailed by the property (or
-    // location/path) it injected. Hint maps iterate in `BTreeMap` order,
-    // so the event stream is deterministic.
-    let rec = aji_obs::trace_recorder();
-    let mut hints_applied = 0;
-    if let Some(h) = hints {
-        // Hint locations resolve to function tokens first, then to known
-        // (or freshly minted) object allocation-site tokens. Line-0
-        // sentinel locations denote module `exports` / `module` objects
-        // (see the interpreter's module loader).
-        let token_at = |solver: &mut crate::solver::Solver, loc: Loc| {
-            if loc.line == 0 {
-                return if loc.col == 0 {
-                    solver.token(TokenData::Exports(loc.file))
-                } else {
-                    solver.token(TokenData::ModuleObj(loc.file))
-                };
-            }
-            if let Some(owner) = loc.prototype_owner() {
-                if let Some(f) = funcs_by_loc.get(&owner) {
-                    return solver.token(TokenData::Proto(*f));
-                }
-                return solver.token(TokenData::Obj(loc));
-            }
-            if let Some(f) = funcs_by_loc.get(&loc) {
-                solver.token(TokenData::Func(*f))
-            } else if let Some(t) = objs_by_loc.get(&loc) {
-                *t
-            } else {
-                solver.token(TokenData::Obj(loc))
-            }
-        };
-        if opts.use_write_hints && !rule_ablated("dpw") {
-            // [DPW]: t_{ℓ''} ∈ ⟦t_ℓ.p⟧
-            for w in &h.writes {
-                let t_obj = token_at(&mut solver, w.obj);
-                let t_val = token_at(&mut solver, w.value);
-                let prop = solver.interner.intern(&w.prop);
-                let field = solver.cell(CellKind::Field(t_obj, prop));
-                solver.add_token(field, t_val);
-                hints_applied += 1;
-                if let Some(rec) = &rec {
-                    rec.record(aji_obs::TraceKind::HintApply, "dpw", &w.prop);
-                }
-            }
-        }
-        if opts.use_read_hints {
-            // [DPR]: t_{ℓ'} ∈ ⟦E[E']⟧
-            for (op, locs) in &h.reads {
-                let Some((_, cell)) = dyn_reads.get(op) else {
-                    continue;
-                };
-                for l in locs {
-                    let t = token_at(&mut solver, *l);
-                    solver.add_token(*cell, t);
-                    hints_applied += 1;
-                    if let Some(rec) = &rec {
-                        rec.record(aji_obs::TraceKind::HintApply, "dpr", &l.to_string());
-                    }
-                }
-            }
-        }
-        if opts.nonrelational_writes {
-            // §4's discussed alternative: every observed name at a write
-            // site becomes a static write of the site's value expression
-            // into that property of *all* base objects.
-            for (site, props) in &h.write_props {
-                let Some((base, value)) = dyn_writes.get(site) else {
-                    continue;
-                };
-                for p in props {
-                    let prop = solver.interner.intern(p);
-                    solver.add_constraint(
-                        *base,
-                        crate::solver::Constraint::Store { prop, src: *value },
-                    );
-                    hints_applied += 1;
-                    if let Some(rec) = &rec {
-                        rec.record(aji_obs::TraceKind::HintApply, "nonrel-write", p);
-                    }
-                }
-            }
-        }
-        if opts.use_proxy_read_hints {
-            // §6 extension: only where no ordinary read hints exist.
-            for (site, props) in &h.proxy_reads {
-                if h.reads.contains_key(site) {
-                    continue;
-                }
-                let Some((base, result)) = dyn_reads.get(site) else {
-                    continue;
-                };
-                for p in props {
-                    let prop = solver.interner.intern(p);
-                    solver.add_constraint(
-                        *base,
-                        crate::solver::Constraint::Load { prop, dst: *result },
-                    );
-                    hints_applied += 1;
-                    if let Some(rec) = &rec {
-                        rec.record(aji_obs::TraceKind::HintApply, "proxy-read", p);
-                    }
-                }
-            }
-        }
-        if opts.use_module_hints {
-            for (site, paths) in &h.modules {
-                hints_applied += paths.len();
-                if let Some(rec) = &rec {
-                    for p in paths {
-                        rec.record(aji_obs::TraceKind::HintApply, "module", p);
-                    }
-                }
-                solver
-                    .module_hints
-                    .insert(*site, paths.iter().cloned().collect());
-            }
-        }
-    }
-
-    drop(hint_span);
-
-    {
-        let _s = aji_obs::span("solve");
-        solver.solve();
-    }
-    let call_graph = {
-        let _s = aji_obs::span("extract-cg");
-        extract(&solver, project)
-    };
-    let analysis_seconds = start.elapsed().as_secs_f64();
-    aji_obs::counter_add("pta.cells", solver.stats.cells as u64);
-    aji_obs::counter_add("pta.tokens", solver.stats.tokens as u64);
-    aji_obs::counter_add("pta.call_edges", call_graph.edge_count() as u64);
-    aji_obs::counter_add("pta.hints_applied", hints_applied as u64);
-    Analysis {
-        call_graph,
-        solver_stats: solver.stats.clone(),
-        analysis_seconds,
-        hints_applied,
+    let mut pta = Pta::new(project, parsed);
+    match hints {
+        Some(h) => pta.extend(h, opts),
+        None => pta.solve(),
     }
 }

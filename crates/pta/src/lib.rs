@@ -48,6 +48,6 @@ mod metrics;
 pub mod scopes;
 pub mod solver;
 
-pub use analysis::{analyze, analyze_parsed, rule_ablated, Analysis, AnalysisOptions};
+pub use analysis::{analyze, analyze_parsed, rule_ablated, Analysis, AnalysisOptions, Pta};
 pub use callgraph::CallGraph;
 pub use metrics::{Accuracy, CgMetrics};

@@ -7,7 +7,7 @@
 
 use aji_ast::ast::*;
 use aji_ast::{FileId, NodeId};
-use std::collections::HashMap;
+use aji_support::hash::FxHashMap;
 
 /// Identifier of a resolved variable binding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,16 +28,16 @@ pub enum VarInfo {
 #[derive(Debug, Default)]
 pub struct Resolution {
     /// Reference/declaration node → variable.
-    pub refs: HashMap<NodeId, VarId>,
+    pub refs: FxHashMap<NodeId, VarId>,
     /// Variable metadata, indexed by `VarId`.
     pub vars: Vec<VarInfo>,
     /// Function/class declaration node → the variable its name binds.
-    decls: HashMap<NodeId, VarId>,
+    decls: FxHashMap<NodeId, VarId>,
     /// Named function expression node → its self-reference binding.
-    selfs: HashMap<NodeId, VarId>,
+    selfs: FxHashMap<NodeId, VarId>,
     /// Function node → its `arguments` binding.
-    args: HashMap<NodeId, VarId>,
-    globals: HashMap<String, VarId>,
+    args: FxHashMap<NodeId, VarId>,
+    globals: FxHashMap<String, VarId>,
 }
 
 impl Resolution {
@@ -119,12 +119,12 @@ pub fn resolve(modules: &[std::rc::Rc<Module>]) -> Resolution {
 
 struct Resolver<'a> {
     res: &'a mut Resolution,
-    scopes: Vec<HashMap<String, VarId>>,
+    scopes: Vec<FxHashMap<String, VarId>>,
 }
 
 impl<'a> Resolver<'a> {
     fn push_scope(&mut self) {
-        self.scopes.push(HashMap::new());
+        self.scopes.push(FxHashMap::default());
     }
 
     fn pop_scope(&mut self) {

@@ -4,17 +4,20 @@
 
 use crate::scopes::VarId;
 use aji_ast::{FileId, Loc, NodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use aji_support::hash::{FxHashMap, FxHashSet};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Interned string (property names, builtin paths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(pub u32);
 
-/// Simple string interner.
-#[derive(Debug, Default)]
+/// Simple string interner. Each new string is allocated once, shared by
+/// the lookup table and the symbol table.
+#[derive(Debug, Default, Clone)]
 pub struct Interner {
-    map: HashMap<String, Sym>,
-    names: Vec<String>,
+    map: FxHashMap<Arc<str>, Sym>,
+    names: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -24,8 +27,9 @@ impl Interner {
             return sym;
         }
         let sym = Sym(self.names.len() as u32);
-        self.names.push(s.to_string());
-        self.map.insert(s.to_string(), sym);
+        let name: Arc<str> = Arc::from(s);
+        self.names.push(Arc::clone(&name));
+        self.map.insert(name, sym);
         sym
     }
 
@@ -44,7 +48,7 @@ pub struct FuncIdx(pub u32);
 pub struct Token(pub u32);
 
 /// What a token abstracts.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenData {
     /// Objects allocated at a source location (object/array literals,
     /// `new` sites, `Object.create` sites, hint-referenced sites).
@@ -102,7 +106,7 @@ pub enum CellKind {
 pub struct CellId(pub u32);
 
 /// Complex constraints attached to cells, fired per arriving token.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum Constraint {
     /// `dst ⊇ ⟦t.prop⟧` for every token `t` arriving here (property read,
     /// consulting the prototype chain).
@@ -156,7 +160,7 @@ pub enum Constraint {
 }
 
 /// Metadata of one function definition.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FuncInfo {
     /// Definition node.
     pub node: NodeId,
@@ -175,7 +179,7 @@ pub struct FuncInfo {
 }
 
 /// One call or `new` site.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CallSite {
     /// The call expression node.
     pub node: NodeId,
@@ -202,15 +206,18 @@ pub struct CallSite {
     pub lit_arg0: Option<String>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Cell {
-    tokens: HashSet<Token>,
+    tokens: FxHashSet<Token>,
     succs: Vec<CellId>,
     cons: Vec<Constraint>,
 }
 
-/// Solver statistics.
-#[derive(Debug, Clone, Default)]
+/// Solver statistics. Every count is a function of the fixpoint alone —
+/// each cell, token and (cell, token) pair is created exactly once —
+/// so it does not depend on the order facts were added in, nor on how
+/// many [`Solver::solve`] rounds reached the fixpoint.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of cells created.
     pub cells: usize,
@@ -218,11 +225,11 @@ pub struct SolverStats {
     pub tokens: usize,
     /// Number of (cell, token) propagation steps processed.
     pub propagations: u64,
-    /// Number of [`Solver::solve`] fixpoint rounds run.
-    pub solve_rounds: u64,
 }
 
-/// The constraint solver.
+/// The constraint solver. Cloning a solved solver is how several hint
+/// configurations extend one baseline fixpoint.
+#[derive(Clone)]
 pub struct Solver {
     /// String interner for properties and builtin paths.
     pub interner: Interner,
@@ -236,22 +243,28 @@ pub struct Solver {
     pub paths: Vec<String>,
 
     cells: Vec<Cell>,
-    cell_ids: HashMap<CellKind, CellId>,
-    token_ids: HashMap<TokenData, Token>,
+    cell_ids: FxHashMap<CellKind, CellId>,
+    token_ids: FxHashMap<TokenData, Token>,
     tmp_counter: u32,
     worklist: VecDeque<(CellId, Token)>,
 
     /// Prototype graph: token → its prototypes.
-    protos: HashMap<Token, Vec<Token>>,
-    inv_protos: HashMap<Token, Vec<Token>>,
-    loads_by_token: HashMap<Token, Vec<(Sym, CellId)>>,
+    protos: FxHashMap<Token, Vec<Token>>,
+    inv_protos: FxHashMap<Token, Vec<Token>>,
+    loads_by_token: FxHashMap<Token, Vec<(Sym, CellId)>>,
+    /// Builtin member tokens by (namespace, property): `Math` + `floor`
+    /// → `Builtin("Math.floor")`; `None` for hidden properties.
+    members: FxHashMap<(Sym, Sym), Option<Token>>,
 
     /// Discovered call edges: (site, callee function).
-    pub call_edges: HashSet<(u32, FuncIdx)>,
+    pub call_edges: FxHashSet<(u32, FuncIdx)>,
     /// Discovered module-load edges: (site, loaded file).
-    pub module_edges: HashSet<(u32, FileId)>,
+    pub module_edges: FxHashSet<(u32, FileId)>,
     /// Module hints: `require` site loc → file paths (extended mode).
-    pub module_hints: HashMap<Loc, Vec<String>>,
+    module_hints: FxHashMap<Loc, Vec<String>>,
+    /// Sites the `require` builtin has already been resolved at, in
+    /// resolution order — re-wired when module hints arrive later.
+    require_sites: Vec<u32>,
 
     /// The interned element property for arrays.
     pub elems_sym: Sym,
@@ -275,16 +288,18 @@ impl Solver {
             token_data: Vec::new(),
             paths,
             cells: Vec::new(),
-            cell_ids: HashMap::new(),
-            token_ids: HashMap::new(),
+            cell_ids: FxHashMap::default(),
+            token_ids: FxHashMap::default(),
             tmp_counter: 0,
             worklist: VecDeque::new(),
-            protos: HashMap::new(),
-            inv_protos: HashMap::new(),
-            loads_by_token: HashMap::new(),
-            call_edges: HashSet::new(),
-            module_edges: HashSet::new(),
-            module_hints: HashMap::new(),
+            protos: FxHashMap::default(),
+            inv_protos: FxHashMap::default(),
+            loads_by_token: FxHashMap::default(),
+            members: FxHashMap::default(),
+            call_edges: FxHashSet::default(),
+            module_edges: FxHashSet::default(),
+            module_hints: FxHashMap::default(),
+            require_sites: Vec::new(),
             elems_sym,
             prototype_sym,
             stats: SolverStats::default(),
@@ -315,7 +330,7 @@ impl Solver {
             return t;
         }
         let t = Token(self.token_data.len() as u32);
-        self.token_data.push(data.clone());
+        self.token_data.push(data);
         self.token_ids.insert(data, t);
         self.stats.tokens += 1;
         t
@@ -360,7 +375,7 @@ impl Solver {
             .iter()
             .copied()
             .collect();
-        self.cells[cell.0 as usize].cons.push(c.clone());
+        self.cells[cell.0 as usize].cons.push(c);
         for t in tokens {
             self.apply(cell, t, &c);
         }
@@ -380,25 +395,28 @@ impl Solver {
         self.cell_ids.get(&kind).copied()
     }
 
-    /// Runs propagation to a fixpoint.
+    /// Runs propagation to a fixpoint. Callable again after more facts
+    /// are added: it continues from the current state.
     pub fn solve(&mut self) {
         let steps = aji_obs::counter("pta.propagations");
         let before = self.stats.propagations;
         while let Some((cell, t)) = self.worklist.pop_front() {
             self.stats.propagations += 1;
             steps.inc();
-            // Successors.
-            let succs = self.cells[cell.0 as usize].succs.clone();
-            for s in succs {
+            let c = cell.0 as usize;
+            // Successors. `add_token` never adds edges, so the list is
+            // stable while it is walked.
+            for i in 0..self.cells[c].succs.len() {
+                let s = self.cells[c].succs[i];
                 self.add_token(s, t);
             }
-            // Constraints.
-            let cons = self.cells[cell.0 as usize].cons.clone();
-            for c in cons {
-                self.apply(cell, t, &c);
+            // Constraints present when `t` arrived. One attached while
+            // they fire has already replayed `t` in `add_constraint`.
+            for i in 0..self.cells[c].cons.len() {
+                let con = self.cells[c].cons[i];
+                self.apply(cell, t, &con);
             }
         }
-        self.stats.solve_rounds += 1;
         if steps.is_live() {
             aji_obs::counter_add("pta.solve_rounds", 1);
             aji_obs::histogram_record(
@@ -508,12 +526,8 @@ impl Solver {
     /// prototype chain, replaying when new prototype links appear.
     fn apply_load(&mut self, t: Token, prop: Sym, dst: CellId) {
         // Builtin namespaces: `Math.floor` → Builtin("Math.floor").
-        if let TokenData::Builtin(b) = self.data(t) {
-            let name = self.interner.name(*b).to_string();
-            let pname = self.interner.name(prop).to_string();
-            if !pname.starts_with('\u{0}') {
-                let sub = self.interner.intern(&format!("{name}.{pname}"));
-                let tok = self.token(TokenData::Builtin(sub));
+        if let TokenData::Builtin(b) = *self.data(t) {
+            if let Some(tok) = self.member_token(b, prop) {
                 self.add_token(dst, tok);
             }
         }
@@ -529,10 +543,28 @@ impl Solver {
         }
     }
 
+    /// The builtin token of member `prop` of builtin namespace `ns`,
+    /// minted on first use; `None` for hidden (`\0`-prefixed) properties.
+    fn member_token(&mut self, ns: Sym, prop: Sym) -> Option<Token> {
+        if let Some(&tok) = self.members.get(&(ns, prop)) {
+            return tok;
+        }
+        let pname = self.interner.name(prop);
+        let tok = if pname.starts_with('\u{0}') {
+            None
+        } else {
+            let path = format!("{}.{pname}", self.interner.name(ns));
+            let sub = self.interner.intern(&path);
+            Some(self.token(TokenData::Builtin(sub)))
+        };
+        self.members.insert((ns, prop), tok);
+        tok
+    }
+
     /// The token and its transitive prototypes (cycle-safe).
     fn proto_chain(&self, t: Token) -> Vec<Token> {
         let mut out = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![t];
         while let Some(x) = stack.pop() {
             if !seen.insert(x) {
@@ -561,7 +593,7 @@ impl Solver {
 
         // Tokens whose chains pass through `child`.
         let mut affected = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![child];
         while let Some(x) = stack.pop() {
             if !seen.insert(x) {
@@ -592,7 +624,7 @@ impl Solver {
     /// Resolves a call-site callee token (rule for `E(E')` in Figure 3,
     /// plus builtin models).
     fn resolve_call(&mut self, site: u32, t: Token) {
-        match self.data(t).clone() {
+        match *self.data(t) {
             TokenData::Func(f) => self.call_user_function(site, f),
             TokenData::Builtin(name) => {
                 let name = self.interner.name(name).to_string();
@@ -687,6 +719,9 @@ impl Solver {
         let last = name.rsplit('.').next().unwrap_or(name);
         match name {
             "require" => {
+                if !self.require_sites.contains(&site) {
+                    self.require_sites.push(site);
+                }
                 let mut targets: Vec<String> = Vec::new();
                 if let Some(spec) = &lit_arg0 {
                     if let Some(path) = resolve_module(&self.paths, file, spec) {
@@ -698,19 +733,10 @@ impl Solver {
                         self.add_token(result, tok);
                     }
                 }
-                if let Some(hinted) = self.module_hints.get(&loc).cloned() {
-                    targets.extend(hinted);
+                if let Some(hinted) = self.module_hints.get(&loc) {
+                    targets.extend(hinted.iter().cloned());
                 }
-                for path in targets {
-                    if let Some(idx) = self.paths.iter().position(|p| *p == path) {
-                        let fid = FileId(idx as u32);
-                        self.module_edges.insert((site, fid));
-                        let mobj = self.token(TokenData::ModuleObj(fid));
-                        let exports_sym = self.interner.intern("exports");
-                        let f = self.cell(CellKind::Field(mobj, exports_sym));
-                        self.add_edge(f, result);
-                    }
-                }
+                self.load_modules(site, &targets);
             }
             "Object.create" => {
                 let newtok = self.token(TokenData::Obj(loc));
@@ -762,6 +788,47 @@ impl Solver {
                     );
                 }
             }
+        }
+    }
+
+    /// Wires `require` site `site` to the modules at `paths`: a module
+    /// edge each, and the module's `module.exports` into the site's
+    /// result.
+    fn load_modules(&mut self, site: u32, paths: &[String]) {
+        let result = self.sites[site as usize].result;
+        for path in paths {
+            if let Some(idx) = self.paths.iter().position(|p| p == path) {
+                let fid = FileId(idx as u32);
+                self.module_edges.insert((site, fid));
+                let mobj = self.token(TokenData::ModuleObj(fid));
+                let exports_sym = self.interner.intern("exports");
+                let f = self.cell(CellKind::Field(mobj, exports_sym));
+                self.add_edge(f, result);
+            }
+        }
+    }
+
+    /// Adds module hints for the `require` call at `loc`: the modules a
+    /// dynamic `require` there was observed to load.
+    ///
+    /// This is the one hint rule that is not a plain added fact: the
+    /// `require` model reads the hints when the `require` token first
+    /// reaches a site. Sites at `loc` it has already reached — in an
+    /// earlier solve round — are wired to the new modules here, so
+    /// hints added after a solve reach the same fixpoint as hints added
+    /// before it.
+    pub fn add_module_hints(&mut self, loc: Loc, paths: impl IntoIterator<Item = String>) {
+        let hinted = self.module_hints.entry(loc).or_default();
+        let fresh: Vec<String> = paths.into_iter().filter(|p| !hinted.contains(p)).collect();
+        hinted.extend(fresh.iter().cloned());
+        let resolved: Vec<u32> = self
+            .require_sites
+            .iter()
+            .copied()
+            .filter(|&s| self.sites[s as usize].loc == loc)
+            .collect();
+        for site in resolved {
+            self.load_modules(site, &fresh);
         }
     }
 }

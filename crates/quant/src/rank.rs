@@ -38,7 +38,7 @@ use aji_approx::approximate_interpret_parsed;
 use aji_ast::{Loc, Project};
 use aji_bench::{run_corpus_map, ProjectResult};
 use aji_oracle::{triage, triage_spurious, Cause, EdgeDiff, OracleOptions, SpuriousCause};
-use aji_pta::{analyze_parsed, AnalysisOptions};
+use aji_pta::{AnalysisOptions, Pta};
 use aji_support::Json;
 use std::collections::BTreeSet;
 
@@ -217,9 +217,13 @@ pub fn rank_project(project: &Project, opts: &OracleOptions) -> Result<ProjectRa
     let _span = aji_obs::span("quant.rank");
     let parsed = aji_parser::parse_project(project)?;
 
-    let baseline = analyze_parsed(project, &parsed, None, &AnalysisOptions::baseline());
+    let mut pta = Pta::new(project, &parsed);
+    let baseline = pta.solve();
     let approx = approximate_interpret_parsed(project, &parsed, &opts.approx);
-    let extended = analyze_parsed(project, &parsed, Some(&approx.hints), &opts.analysis);
+    // The solved baseline, kept for the counterfactual re-solve below.
+    let mut counterfactual = pta.clone();
+    let extended = pta.extend(&approx.hints, &opts.analysis);
+    drop(pta);
     let dynamic = dynamic_call_graph_parsed(project, &parsed, &opts.dynamic_interp)
         .ok_or_else(|| {
             PipelineError::Dynamic("could not construct the concrete interpreter".to_string())
@@ -240,12 +244,7 @@ pub fn rank_project(project: &Project, opts: &OracleOptions) -> Result<ProjectRa
         .iter()
         .any(|m| m.cause == Cause::HigherOrderProxy);
     let resolve_recovered: BTreeSet<(Loc, Loc)> = if proxy_missed {
-        let resolved = analyze_parsed(
-            project,
-            &parsed,
-            Some(&approx.hints),
-            &AnalysisOptions::with_proxy_reads(),
-        );
+        let resolved = counterfactual.extend(&approx.hints, &AnalysisOptions::with_proxy_reads());
         diff.missed
             .iter()
             .filter(|e| resolved.call_graph.edges.contains(e))

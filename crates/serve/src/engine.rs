@@ -62,6 +62,7 @@ pub struct Engine {
     patterns_loaded: bool,
     population_loaded: bool,
     requests: u64,
+    errors: u64,
 }
 
 impl Engine {
@@ -79,6 +80,7 @@ impl Engine {
             patterns_loaded: false,
             population_loaded: false,
             requests: 0,
+            errors: 0,
         }
     }
 
@@ -98,6 +100,22 @@ impl Engine {
     /// stores only the deterministic `result` payload.
     pub fn handle(&mut self, req: &Json) -> (Json, bool) {
         self.requests += 1;
+        let (frame, shutdown) = self.respond(req);
+        if frame.get("ok") == Some(&Json::Bool(false)) {
+            self.errors += 1;
+        }
+        (frame, shutdown)
+    }
+
+    /// Answers a frame that is not JSON at all: counted as a request and
+    /// as an error, like any other error frame.
+    pub fn malformed(&mut self, error: &dyn std::fmt::Display) -> Json {
+        self.requests += 1;
+        self.errors += 1;
+        err_frame("?", format!("malformed frame: {error}"))
+    }
+
+    fn respond(&mut self, req: &Json) -> (Json, bool) {
         let op = match req.get("op").and_then(Json::as_str) {
             Some(op) => op.to_string(),
             None => {
@@ -119,9 +137,15 @@ impl Engine {
         }
     }
 
-    /// Requests handled so far (including failed ones).
+    /// Requests handled so far (including failed and malformed ones).
     pub fn requests(&self) -> u64 {
         self.requests
+    }
+
+    /// Error frames sent so far (request-level errors and malformed
+    /// frames).
+    pub fn errors(&self) -> u64 {
+        self.errors
     }
 
     fn dispatch(&mut self, op: &str, req: &Json) -> (Json, bool) {
@@ -256,6 +280,7 @@ impl Engine {
             "stats",
             Json::obj(vec![
                 ("requests", self.requests.to_json()),
+                ("errors", self.errors.to_json()),
                 ("seed", Json::Str(aji_support::hash::hex(self.store.seed()))),
                 ("store", store.to_json()),
                 (
@@ -451,6 +476,7 @@ mod tests {
         };
         let (resp, _) = engine.handle(&analyze_req(&broken.to_json()));
         assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!((engine.requests(), engine.errors()), (4, 4));
     }
 
     #[test]
@@ -497,6 +523,7 @@ mod tests {
         let (resp, _) = engine.handle(&Json::obj(vec![("op", Json::Str("stats".into()))]));
         let result = resp.get("result").expect("result");
         assert_eq!(result.get("requests").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(result.get("errors").and_then(Json::as_f64), Some(0.0));
         let store = result.get("store").expect("store counters");
         assert_eq!(store.get("response_misses").and_then(Json::as_f64), Some(1.0));
         let sizes = result.get("sizes").expect("layer sizes");

@@ -57,7 +57,7 @@ pub use store::{HintStore, Invalidated, StoreStats};
 
 use std::io::{self, BufReader};
 
-use aji_support::{wire, Json};
+use aji_support::wire;
 
 /// Runs the accept loop until a `shutdown` request arrives.
 ///
@@ -65,7 +65,8 @@ use aji_support::{wire, Json};
 /// each connection may carry any number of request frames. A transport
 /// error on one connection drops that connection, not the daemon; a
 /// malformed (non-JSON) frame is answered with an error frame and the
-/// connection closed, since framing can no longer be trusted.
+/// connection closed, since framing can no longer be trusted. Both count
+/// in the `stats` op's `requests` and `errors`.
 ///
 /// # Errors
 ///
@@ -109,12 +110,7 @@ fn serve_connection(
                 }
             }
             Err(wire::WireError::Protocol(e)) => {
-                let frame = Json::obj(vec![
-                    ("ok", Json::Bool(false)),
-                    ("op", Json::Str("?".into())),
-                    ("error", Json::Str(format!("malformed frame: {e}"))),
-                ]);
-                let _ = wire::write_frame(&mut writer, &frame);
+                let _ = wire::write_frame(&mut writer, &engine.malformed(&e));
                 return Ok(false);
             }
             Err(e) => return Err(e),
@@ -125,6 +121,7 @@ fn serve_connection(
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use aji_support::Json;
     use std::os::unix::net::UnixListener;
 
     fn temp_socket(tag: &str) -> String {
@@ -178,7 +175,15 @@ mod tests {
         let resp = wire::read_frame(&mut reader).unwrap().unwrap();
         assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
         drop(stream);
-        // …leaves the daemon serving the next one.
+        // …leaves the daemon serving the next one, which sees it counted
+        // as a request and as an error.
+        let resp = wire::request(
+            &path,
+            &Json::obj(vec![("op", Json::Str("stats".into()))]),
+        )
+        .unwrap();
+        let count = |k: &str| resp.get("result").and_then(|r| r.get(k)).and_then(Json::as_f64);
+        assert_eq!((count("requests"), count("errors")), (Some(2.0), Some(1.0)));
         let resp = wire::request(
             &path,
             &Json::obj(vec![("op", Json::Str("shutdown".into()))]),

@@ -135,6 +135,94 @@ pub fn from_hex(s: &str) -> Option<u64> {
     u64::from_str_radix(s, 16).ok()
 }
 
+/// The multiplier of [`FxHasher`]'s rotate-xor-multiply step.
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// A fast, deterministic, non-cryptographic [`std::hash::Hasher`] for
+/// in-memory tables keyed by small integers and short strings (replaces
+/// `rustc-hash`).
+///
+/// Each word is folded in as `hash = (hash.rotl(5) ^ word) * K`. Unlike
+/// `std`'s SipHash `RandomState` it is neither keyed nor DoS-resistant,
+/// which is fine for tables whose keys the program itself mints (solver
+/// cells, tokens, scope ids) — and its iteration order is the same in
+/// every run. Never use it for [`Fnv64`]'s job: it is not a stable
+/// content digest.
+///
+/// # Example
+///
+/// ```
+/// use aji_support::hash::FxHashMap;
+///
+/// let mut m: FxHashMap<u32, &str> = FxHashMap::default();
+/// m.insert(7, "seven");
+/// assert_eq!(m.get(&7), Some(&"seven"));
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(buf));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// The [`std::hash::BuildHasher`] of [`FxHasher`].
+pub type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
+/// A `HashMap` hashed with [`FxHasher`].
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
+/// A `HashSet` hashed with [`FxHasher`].
+pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,5 +280,23 @@ mod tests {
         }
         assert_eq!(from_hex("xyz"), None);
         assert_eq!(from_hex("0"), None);
+    }
+
+    #[test]
+    fn fx_hashes_are_deterministic_and_spread() {
+        use std::hash::{BuildHasher, Hasher};
+        let b = FxBuildHasher::default();
+        assert_eq!(b.hash_one("prototype"), b.hash_one("prototype"));
+        assert_ne!(b.hash_one("ab"), b.hash_one("ba"));
+        // Sequential ids, the solver's common key, do not collide.
+        let set: FxHashSet<u64> = (0..1000u32).map(|i| b.hash_one(i)).collect();
+        assert_eq!(set.len(), 1000);
+        // A tail shorter than a word still counts.
+        let raw = |bytes: &[u8]| {
+            let mut h = FxHasher::default();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_ne!(raw(&[1; 9]), raw(&[1; 8]));
     }
 }

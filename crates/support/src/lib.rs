@@ -18,7 +18,8 @@
 //!   `crossbeam`);
 //! - [`hash`] — a seeded FNV-1a 64-bit content hasher with a splitmix64
 //!   finalizer, for stable cross-process cache keys (replaces
-//!   `fnv`/`xxhash`);
+//!   `fnv`/`xxhash`), and the fast deterministic `FxHasher` for
+//!   in-memory tables (replaces `rustc-hash`);
 //! - [`wire`] — line-delimited JSON framing over byte streams and Unix
 //!   sockets, the `aji serve` daemon's RPC transport (replaces
 //!   `serde_json` + a socket framing crate).

@@ -13,6 +13,9 @@ cargo build --workspace --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml (benchmark builds against the current APIs)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --offline --all-targets -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
