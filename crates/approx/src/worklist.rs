@@ -337,24 +337,12 @@ pub fn approximate_interpret_parsed(
         }
     }
 
-    let st = Rc::try_unwrap(state)
-        .map(RefCell::into_inner)
-        .unwrap_or_else(|rc| {
-            let borrowed = rc.borrow();
-            ApproxState {
-                hints: borrowed.hints.clone(),
-                visited: borrowed.visited.clone(),
-                queued: BTreeSet::new(),
-                discovered: Vec::new(),
-                this_map: HashMap::new(),
-            }
-        });
-    stats.functions_visited = st
-        .visited
-        .iter()
-        .filter(|_| true)
-        .count()
-        .min(functions_total.max(st.visited.len()));
+    // The interpreter's tracer holds the other handle on `state`.
+    drop(interp);
+    let st = Rc::into_inner(state)
+        .expect("the interpreter's tracer is the only other owner of the approx state")
+        .into_inner();
+    stats.functions_visited = st.visited.len();
     ApproxResult {
         hints: st.hints,
         visited: st.visited,

@@ -10,7 +10,7 @@
 //! that invoke any callback arguments and return the unknown-value proxy.
 
 use crate::error::JsError;
-use crate::heap::{ObjKind, Prop, PropValue};
+use crate::heap::{FuncData, ObjKind, Prop, PropValue};
 use crate::machine::Interp;
 use crate::value::{ObjId, Value};
 use std::rc::Rc;
@@ -961,23 +961,22 @@ fn function_bind(i: &mut Interp, _s: ObjId, this: Value, args: &[Value]) -> R {
     let Some(fid) = this.as_obj() else {
         return Ok(this);
     };
-    match i.heap.get(fid).kind.clone() {
-        ObjKind::Function(mut data) => {
-            data.bound_this = Some(Box::new(arg(args, 0)));
-            data.bound_args
-                .extend(args.iter().skip(1).cloned());
-            let b = i.heap.alloc(ObjKind::Function(data));
-            let src = i.heap.get(fid).clone();
-            let dst = i.heap.get_mut(b);
-            dst.proto = src.proto;
-            // Bound functions keep the original's allocation-site identity
-            // so analysis hints still refer to the definition.
-            dst.born_at = src.born_at;
-            dst.func_def = src.func_def;
-            Ok(Value::Obj(b))
-        }
-        _ => Ok(this), // binding natives/proxies: approximate with the original
-    }
+    let src = i.heap.get(fid);
+    let ObjKind::Function(data) = &src.kind else {
+        return Ok(this); // binding natives/proxies: approximate with the original
+    };
+    let mut data = FuncData::clone(data);
+    let (proto, born_at, func_def) = (src.proto, src.born_at, src.func_def);
+    data.bound_this = Some(Box::new(arg(args, 0)));
+    data.bound_args.extend(args.iter().skip(1).cloned());
+    let b = i.heap.alloc(ObjKind::Function(Rc::new(data)));
+    let dst = i.heap.get_mut(b);
+    dst.proto = proto;
+    // Bound functions keep the original's allocation-site identity
+    // so analysis hints still refer to the definition.
+    dst.born_at = born_at;
+    dst.func_def = func_def;
+    Ok(Value::Obj(b))
 }
 
 fn function_to_string(_i: &mut Interp, _s: ObjId, _t: Value, _a: &[Value]) -> R {

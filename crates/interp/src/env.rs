@@ -5,6 +5,7 @@
 //! `arguments` object; arrow functions simply do not create those slots, so
 //! lookup finds the enclosing function's.
 
+use crate::heap::SMALL_TABLE;
 use crate::value::Value;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -35,8 +36,11 @@ pub struct Scope {
     pub kind: ScopeKind,
     /// Enclosing scope.
     pub parent: Option<ScopeRef>,
-    /// Variable bindings.
-    vars: HashMap<Rc<str>, Value>,
+    /// Variable bindings in declaration order, scanned front to back.
+    vars: Vec<(Rc<str>, Value)>,
+    /// Name → position in `vars`, built once the scope holds more than
+    /// `SMALL_TABLE` bindings (the global scope, large module scopes).
+    index: Option<HashMap<Rc<str>, usize>>,
     /// `this` binding, present on function/module/global scopes.
     pub this_val: Option<Value>,
 }
@@ -47,33 +51,55 @@ impl Scope {
         Rc::new(RefCell::new(Scope {
             kind,
             parent,
-            vars: HashMap::new(),
+            vars: Vec::new(),
+            index: None,
             this_val: None,
         }))
     }
 
+    /// Position of `name` in `vars`.
+    fn slot(&self, name: &str) -> Option<usize> {
+        match &self.index {
+            Some(index) => index.get(name).copied(),
+            None => self.vars.iter().position(|(k, _)| &**k == name),
+        }
+    }
+
     /// Declares (or redeclares) a variable directly in this scope.
     pub fn declare(&mut self, name: impl Into<Rc<str>>, v: Value) {
-        self.vars.insert(name.into(), v);
+        let name = name.into();
+        if let Some(i) = self.slot(&name) {
+            self.vars[i].1 = v;
+            return;
+        }
+        if let Some(index) = &mut self.index {
+            index.insert(name.clone(), self.vars.len());
+        }
+        self.vars.push((name, v));
+        if self.index.is_none() && self.vars.len() > SMALL_TABLE {
+            let names = self.vars.iter().enumerate();
+            self.index = Some(names.map(|(i, (k, _))| (k.clone(), i)).collect());
+        }
     }
 
     /// Whether this scope directly binds `name`.
     pub fn has_own(&self, name: &str) -> bool {
-        self.vars.contains_key(name)
+        self.slot(name).is_some()
     }
 
     /// Reads an own binding.
     pub fn get_own(&self, name: &str) -> Option<Value> {
-        self.vars.get(name).cloned()
+        self.slot(name).map(|i| self.vars[i].1.clone())
     }
 
     /// Writes an own binding; returns false if not bound here.
     pub fn set_own(&mut self, name: &str, v: Value) -> bool {
-        if let Some(slot) = self.vars.get_mut(name) {
-            *slot = v;
-            true
-        } else {
-            false
+        match self.slot(name) {
+            Some(i) => {
+                self.vars[i].1 = v;
+                true
+            }
+            None => false,
         }
     }
 }

@@ -871,7 +871,7 @@ impl Interp {
         };
         let born_at = self.static_loc(c.span);
         let is_default_ctor = ctor_func.is_none();
-        let fid = self.heap.alloc(ObjKind::Function(Box::new(FuncData {
+        let fid = self.heap.alloc(ObjKind::Function(Rc::new(FuncData {
             def: ctor_def.clone(),
             env: scope.clone(),
             bound_this: None,
@@ -920,6 +920,8 @@ impl Interp {
                     // Wire up `super` support for the method.
                     if let Some(mid) = fval.as_obj() {
                         if let ObjKind::Function(data) = &mut self.heap.get_mut(mid).kind {
+                            // A fresh closure: `make_mut` copies nothing.
+                            let data = Rc::make_mut(data);
                             data.home_proto = Some(if m.is_static { fid } else { proto });
                             if let Some(sc) = &super_ctor {
                                 data.super_ctor = Some(Box::new(sc.clone()));
@@ -1006,7 +1008,7 @@ impl Interp {
                         };
                         let rc = Rc::new(f);
                         self.registry.add_dynamic(rc.clone(), None);
-                        let thunk = self.heap.alloc(ObjKind::Function(Box::new(FuncData {
+                        let thunk = self.heap.alloc(ObjKind::Function(Rc::new(FuncData {
                             def: rc,
                             env: scope.clone(),
                             bound_this: None,

@@ -51,15 +51,28 @@ pub enum PropValue {
     },
 }
 
+/// Name tables (property maps, scopes) find a name by a linear scan
+/// while they hold at most this many entries, and build a hash index only
+/// once they grow past it. Almost every object and function scope stays
+/// below it; the global scope and the builtin prototypes do not.
+pub(crate) const SMALL_TABLE: usize = 8;
+
 /// Insertion-ordered string-keyed map used for object properties.
 ///
 /// JavaScript enumeration order matters to the analyses (e.g. the order in
 /// which `Object.getOwnPropertyNames` yields methods drives the order of
 /// recorded hints), so a plain `HashMap` is not enough.
+///
+/// Lookups scan `entries` until it holds more than 8 (`SMALL_TABLE`)
+/// entries, tombstones included, and use `index` from then on. Counting
+/// tombstones keeps add/delete churn on a small object from growing an
+/// unindexed vector without bound.
 #[derive(Debug, Clone, Default)]
 pub struct OrderedMap {
-    index: HashMap<Rc<str>, usize>,
     entries: Vec<(Rc<str>, Option<Prop>)>,
+    /// Key → slot of its live entry, once `entries` outgrows
+    /// `SMALL_TABLE`.
+    index: Option<HashMap<Rc<str>, usize>>,
     live: usize,
 }
 
@@ -79,44 +92,63 @@ impl OrderedMap {
         self.live == 0
     }
 
+    /// Slot of the live entry keyed `key`.
+    fn slot(&self, key: &str) -> Option<usize> {
+        match &self.index {
+            Some(index) => index.get(key).copied(),
+            None => self
+                .entries
+                .iter()
+                .position(|(k, p)| p.is_some() && &**k == key),
+        }
+    }
+
     /// Looks up a property.
     pub fn get(&self, key: &str) -> Option<&Prop> {
-        let i = *self.index.get(key)?;
+        let i = self.slot(key)?;
         self.entries[i].1.as_ref()
     }
 
     /// Looks up a property mutably.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Prop> {
-        let i = *self.index.get(key)?;
+        let i = self.slot(key)?;
         self.entries[i].1.as_mut()
     }
 
     /// Inserts or replaces a property, preserving the original insertion
-    /// position on replacement (as JavaScript does).
+    /// position on replacement (as JavaScript does). A key deleted
+    /// earlier is appended at the end.
     pub fn insert(&mut self, key: Rc<str>, prop: Prop) {
-        if let Some(&i) = self.index.get(&*key) {
-            if self.entries[i].1.is_none() {
-                self.live += 1;
-            }
+        if let Some(i) = self.slot(&key) {
             self.entries[i].1 = Some(prop);
-        } else {
-            self.index.insert(key.clone(), self.entries.len());
-            self.entries.push((key, Some(prop)));
-            self.live += 1;
+            return;
+        }
+        if let Some(index) = &mut self.index {
+            index.insert(key.clone(), self.entries.len());
+        }
+        self.entries.push((key, Some(prop)));
+        self.live += 1;
+        if self.index.is_none() && self.entries.len() > SMALL_TABLE {
+            let live = self
+                .entries
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, p))| p.is_some());
+            self.index = Some(live.map(|(i, (k, _))| (k.clone(), i)).collect());
         }
     }
 
     /// Deletes a property. Returns whether it existed.
     pub fn remove(&mut self, key: &str) -> bool {
-        if let Some(&i) = self.index.get(key) {
-            if self.entries[i].1.is_some() {
-                self.entries[i].1 = None;
-                self.index.remove(key);
-                self.live -= 1;
-                return true;
-            }
+        let Some(i) = self.slot(key) else {
+            return false;
+        };
+        self.entries[i].1 = None;
+        if let Some(index) = &mut self.index {
+            index.remove(key);
         }
-        false
+        self.live -= 1;
+        true
     }
 
     /// Whether a live property with this key exists.
@@ -153,7 +185,7 @@ impl OrderedMap {
 
     /// The entry index and live property for `key` (inline-cache fill).
     pub fn slot_and_prop(&self, key: &str) -> Option<(usize, &Prop)> {
-        let i = *self.index.get(key)?;
+        let i = self.slot(key)?;
         self.entries[i].1.as_ref().map(|p| (i, p))
     }
 
@@ -198,8 +230,9 @@ pub enum ObjKind {
     /// Array exotic object; dense elements live in the vector, sparse and
     /// named properties in the ordinary map.
     Array(Vec<Value>),
-    /// User-defined function (closure).
-    Function(Box<FuncData>),
+    /// User-defined function (closure). Shared, so a call holds its
+    /// closure data without copying it.
+    Function(Rc<FuncData>),
     /// Built-in function, identified by an index into the native registry.
     Native(u32),
     /// The approximate-interpretation proxy `p*` (or a wrapper delegating

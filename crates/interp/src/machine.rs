@@ -15,6 +15,7 @@ use crate::tracer::{NoopTracer, Tracer};
 use crate::value::{ObjId, Value};
 use aji_ast::ast::{Function, Module};
 use aji_ast::{Loc, NodeIdGen, Project, SourceMap, Span};
+use aji_support::hash::FxHashMap;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -146,7 +147,7 @@ pub struct Interp {
     pub(crate) protos: Protos,
     pub(crate) proxy: ObjId,
     pub(crate) natives: Vec<NativeEntry>,
-    pub(crate) module_cache: HashMap<usize, ObjId>,
+    pub(crate) module_cache: FxHashMap<usize, ObjId>,
     pub(crate) builtin_cache: HashMap<String, Value>,
     pub(crate) ids: NodeIdGen,
     pub(crate) steps: u64,
@@ -171,7 +172,7 @@ pub struct Interp {
     pub(crate) budget_tripped: bool,
     /// Per-definition bytecode cache: `Some` holds the compiled chunk,
     /// `None` memoizes a compiler bail (the definition tree-walks forever).
-    pub(crate) vm_cache: HashMap<aji_ast::NodeId, Option<Rc<crate::vm::VmCode>>>,
+    pub(crate) vm_cache: FxHashMap<aji_ast::NodeId, Option<Rc<crate::vm::VmCode>>>,
     /// Step-attributed hot-function profiler, present only when the
     /// registry active at construction carried a flight recorder with
     /// profiling on. Flushed into that registry when the interpreter
@@ -266,7 +267,7 @@ impl Interp {
             },
             proxy,
             natives: Vec::new(),
-            module_cache: HashMap::new(),
+            module_cache: FxHashMap::default(),
             builtin_cache: HashMap::new(),
             ids: parsed.ids,
             steps: 0,
@@ -279,7 +280,7 @@ impl Interp {
             pending_new_loc: None,
             pending_label: None,
             budget_tripped: false,
-            vm_cache: HashMap::new(),
+            vm_cache: FxHashMap::default(),
             profiler,
         };
         builtins::install(&mut interp);
@@ -740,14 +741,13 @@ impl Interp {
                 format!("{} is not a function", callee),
             ));
         };
-        let kind = self.heap.get(id).kind.clone();
-        match kind {
+        match &self.heap.get(id).kind {
             ObjKind::Proxy => {
                 // Rule 1 of §3: calls on p* are no-ops with p* as result.
                 self.obs.proxy_ops.inc();
                 Ok(self.proxy_value())
             }
-            ObjKind::Native(n) => {
+            &ObjKind::Native(n) => {
                 self.obs.builtin_dispatches.inc();
                 // Natives count against the stack budget too: some call
                 // back into user code (callbacks, getters, toString).
@@ -764,7 +764,10 @@ impl Interp {
                 self.depth -= 1;
                 r
             }
-            ObjKind::Function(data) => self.call_closure(id, &data, this, args, call_site),
+            ObjKind::Function(data) => {
+                let data = Rc::clone(data);
+                self.call_closure(id, &data, this, args, call_site)
+            }
             _ => {
                 if self.opts.approx {
                     Ok(self.proxy_value())
@@ -924,7 +927,7 @@ impl Interp {
             }
         };
         let born_at = self.static_loc(def.span);
-        let id = self.heap.alloc(ObjKind::Function(Box::new(FuncData {
+        let id = self.heap.alloc(ObjKind::Function(Rc::new(FuncData {
             def: shared,
             env: scope.clone(),
             bound_this: None,
@@ -995,8 +998,7 @@ impl Interp {
             }
             return Err(self.throw_error("TypeError", "not a constructor"));
         };
-        let kind = self.heap.get(id).kind.clone();
-        match kind {
+        match &self.heap.get(id).kind {
             ObjKind::Proxy => {
                 self.obs.proxy_ops.inc();
                 Ok(self.proxy_value())
@@ -1008,6 +1010,7 @@ impl Interp {
                 r
             }
             ObjKind::Function(data) => {
+                let data = Rc::clone(data);
                 let proto = self.function_prototype(id);
                 let obj = self.heap.alloc_plain(Some(proto), site_loc);
                 self.tracer.on_alloc(site_loc);

@@ -7,6 +7,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# FxHasher is unkeyed: fine for integers the program mints, but names from
+# the analysed program can be crafted to collide. The interpreter keys
+# its name tables with std's RandomState.
+echo "==> hashing policy (no Fx-hashed table keyed by names in crates/interp/src)"
+if grep -rnE "Fx(HashMap|HashSet)<[[:space:]]*(Rc<str>|String|&('[[:alnum:]_]+[[:space:]]*)?str)" crates/interp/src; then
+    echo "error: key name tables with std's HashMap, not FxHashMap/FxHashSet"; exit 1
+fi
+
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
